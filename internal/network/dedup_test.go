@@ -7,6 +7,97 @@ import (
 	"testing"
 )
 
+// dedupSet is the per-node gossip de-duplication set the delivered-bitmap
+// layout replaced, kept as the reference model for deliveredSet: an
+// open-addressed hash set of 32-byte message IDs probed on their 8-byte
+// prefix (SHA-256 output, already uniform), with epoch-stamped slots so a
+// reset is a counter bump. TestDeliveredMatchesPerNodeSets holds an array
+// of these, one per node, against deliveredSet.
+type dedupSet struct {
+	slots []dedupSlot
+	count int // live (current-epoch) slots
+	// epoch identifies the current population; 0 is never live.
+	epoch uint32
+}
+
+type dedupSlot struct {
+	prefix uint64
+	epoch  uint32
+	id     [32]byte
+}
+
+func (s *dedupSet) reset() {
+	s.epoch++
+	s.count = 0
+	if s.epoch == 0 {
+		for i := range s.slots {
+			s.slots[i] = dedupSlot{}
+		}
+		s.epoch = 1
+	}
+}
+
+// insert adds id to the set, reporting whether it was absent.
+func (s *dedupSet) insert(id *[32]byte) bool {
+	if s.epoch == 0 {
+		s.epoch = 1
+	}
+	if s.count*4 >= len(s.slots)*3 {
+		s.grow()
+	}
+	prefix := binary.LittleEndian.Uint64(id[:8])
+	mask := uint64(len(s.slots) - 1)
+	for i := prefix & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.epoch != s.epoch {
+			*sl = dedupSlot{prefix: prefix, epoch: s.epoch, id: *id}
+			s.count++
+			return true
+		}
+		if sl.prefix == prefix && sl.id == *id {
+			return false
+		}
+	}
+}
+
+// contains reports whether id is in the set without inserting it.
+func (s *dedupSet) contains(id *[32]byte) bool {
+	if s.count == 0 {
+		return false
+	}
+	prefix := binary.LittleEndian.Uint64(id[:8])
+	mask := uint64(len(s.slots) - 1)
+	for i := prefix & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.epoch != s.epoch {
+			return false
+		}
+		if sl.prefix == prefix && sl.id == *id {
+			return true
+		}
+	}
+}
+
+func (s *dedupSet) grow() {
+	n := 2 * len(s.slots)
+	if n == 0 {
+		n = 64
+	}
+	old := s.slots
+	s.slots = make([]dedupSlot, n)
+	mask := uint64(n - 1)
+	for i := range old {
+		if old[i].epoch != s.epoch {
+			continue
+		}
+		j := old[i].prefix & mask
+		for s.slots[j].epoch == s.epoch {
+			j = (j + 1) & mask
+		}
+		s.slots[j] = old[i]
+	}
+}
+
 func id32(n uint64) [32]byte {
 	var id [32]byte
 	// Spread bits so prefixes differ; tail bytes make IDs unique even
@@ -340,6 +431,47 @@ func TestDeliveredMatchesPerNodeSets(t *testing.T) {
 					want := ref[node].insert(&id)
 					if got := s.mark(&id, node); got != want {
 						t.Fatalf("op %d: mark(msg, node %d) = %v, per-node oracle says %v", op, node, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestDeliveredReachedMatchesPerNodeSets checks the one-probe query push
+// relies on: after every mark, reached(id).has(node) must agree with the
+// per-node reference tables for every node, across the inline window,
+// compact overflow lists and promoted extension bitmaps.
+func TestDeliveredReachedMatchesPerNodeSets(t *testing.T) {
+	for _, nodes := range []int{70, 600, 2100} {
+		t.Run(fmt.Sprint(nodes), func(t *testing.T) {
+			var s deliveredSet
+			s.init(nodes)
+			ref := make([]dedupSet, nodes)
+			state := uint64(nodes)*0x9e3779b97f4a7c15 + 1
+			next := func() uint64 {
+				state ^= state << 13
+				state ^= state >> 7
+				state ^= state << 17
+				return state
+			}
+			for op := 0; op < 4_000; op++ {
+				if next()%2000 == 0 {
+					s.reset()
+					for i := range ref {
+						ref[i].reset()
+					}
+				}
+				id := id32(next() % 20)
+				node := int(next() % uint64(nodes))
+				if s.mark(&id, node) != ref[node].insert(&id) {
+					t.Fatalf("op %d: mark verdict diverges from the per-node reference", op)
+				}
+				probe := id32(next() % 25) // includes never-marked messages
+				view := s.reached(&probe)
+				for n := range ref {
+					if got, want := view.has(n), ref[n].contains(&probe); got != want {
+						t.Fatalf("op %d: reached(msg).has(%d) = %v, per-node reference says %v", op, n, got, want)
 					}
 				}
 			}

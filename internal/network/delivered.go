@@ -5,19 +5,16 @@ import "encoding/binary"
 // deliveredSet is the inverted gossip de-duplication layout: one
 // open-addressed table keyed by message ID whose payload is a bitset of
 // the nodes the message has reached. The per-node layout it replaces
-// (dedupSet, kept as the differential oracle behind the
-// network_pernode_dedup build tag) probed a distinct ~open-addressed
-// table per node, so the duplicate-heavy relay path took a random cache
-// miss across ~N tables for every delivery. Here a message's delivery
-// state is contiguous — one cache line for N≤512 — and the common
-// duplicate case is a single bit test next to the slot the probe already
-// touched.
+// (dedupSet, now the reference model in dedup_test.go) probed a distinct
+// open-addressed table per node, so the duplicate-heavy relay path took a
+// random cache miss across ~N tables for every delivery. Here a message's
+// delivery state is contiguous — one cache line for N≤512 — so a relay
+// can read every peer's verdict from one probe (see reached).
 //
-// Probing follows dedupSet's scheme: the ID's first 8 bytes (SHA-256
-// output, already uniform) serve as probe key and hash, a prefix hit
-// pays the full-ID confirm, and epoch-stamped slots make the per-round
-// reset a counter bump. Bit words are zeroed lazily when a slot is
-// claimed for the current epoch.
+// The ID's first 8 bytes (SHA-256 output, already uniform) serve as
+// probe key and hash, a prefix hit pays the full-ID confirm, and
+// epoch-stamped slots make the per-round reset a counter bump. Bit words
+// are zeroed lazily when a slot is claimed for the current epoch.
 //
 // Beyond 512 nodes the per-slot bitmap no longer rides along inline:
 // pre-allocating slots×(N/64) words would grow as messages×N/8 bits and
@@ -208,20 +205,14 @@ func (s *deliveredSet) markOverflow(sl *deliveredSlot, node int) bool {
 		return true
 	}
 	e := &s.exts[sl.ext-1]
-	off := node - s.inlineWords*64
-	if e.promoted {
-		w := &e.bits[off>>6]
-		bit := uint64(1) << (uint(off) & 63)
-		if *w&bit != 0 {
-			return false
-		}
-		*w |= bit
-		return true
+	base := s.inlineWords * 64
+	if e.has(node, base) {
+		return false
 	}
-	for _, id := range e.list {
-		if int(id) == node {
-			return false
-		}
+	off := node - base
+	if e.promoted {
+		e.bits[off>>6] |= 1 << (uint(off) & 63)
+		return true
 	}
 	if len(e.list) < deliveredOverflowCap {
 		e.list = append(e.list, int32(node))
@@ -238,7 +229,6 @@ func (s *deliveredSet) markOverflow(sl *deliveredSlot, node int) bool {
 			e.bits[j] = 0
 		}
 	}
-	base := s.inlineWords * 64
 	for _, id := range e.list {
 		o := int(id) - base
 		e.bits[o>>6] |= 1 << (uint(o) & 63)
@@ -246,6 +236,64 @@ func (s *deliveredSet) markOverflow(sl *deliveredSlot, node int) bool {
 	e.bits[off>>6] |= 1 << (uint(off) & 63)
 	e.promoted = true
 	return true
+}
+
+// has reports whether node (at or above base, the first overflow node)
+// is recorded in the extension.
+func (e *deliveredExt) has(node, base int) bool {
+	if e.promoted {
+		off := node - base
+		return e.bits[off>>6]&(1<<(uint(off)&63)) != 0
+	}
+	for _, id := range e.list {
+		if int(id) == node {
+			return true
+		}
+	}
+	return false
+}
+
+// reachedSet is a read-only view of the nodes one message has reached
+// this round. It stays valid only until the next mark, which may grow
+// the table or the extension pool.
+type reachedSet struct {
+	inline []uint64
+	ext    *deliveredExt // nil when no overflow delivery was recorded
+	base   int           // first node ID past the inline window
+}
+
+// reached returns the delivery view of id with a single probe; a message
+// not marked this round has reached no node.
+func (s *deliveredSet) reached(id *[32]byte) reachedSet {
+	if len(s.slots) == 0 {
+		return reachedSet{}
+	}
+	prefix := binary.LittleEndian.Uint64(id[:8])
+	mask := uint64(len(s.slots) - 1)
+	for i := prefix & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.epoch != s.epoch {
+			return reachedSet{}
+		}
+		if sl.prefix == prefix && sl.id == *id {
+			r := reachedSet{
+				inline: s.bits[int(i)*s.inlineWords : (int(i)+1)*s.inlineWords],
+				base:   s.inlineWords * 64,
+			}
+			if sl.ext != 0 {
+				r.ext = &s.exts[sl.ext-1]
+			}
+			return r
+		}
+	}
+}
+
+// has reports whether the message has reached node.
+func (r reachedSet) has(node int) bool {
+	if w := node >> 6; w < len(r.inline) {
+		return r.inline[w]&(1<<(uint(node)&63)) != 0
+	}
+	return r.ext != nil && r.ext.has(node, r.base)
 }
 
 // grow doubles the table (allocating the initial table on first use),

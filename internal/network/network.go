@@ -165,7 +165,7 @@ type Arena struct {
 	// (epoch-retired, never re-allocated) by every subsequent Network the
 	// arena backs. Dedup state holds no randomness, so recycling it is
 	// output-invisible like the rest of the arena.
-	seen seenSet
+	seen deliveredSet
 }
 
 // takeBools returns a length-n buffer from store, growing it as needed.
@@ -179,11 +179,18 @@ func takeBools(store *[]bool, n int) []bool {
 }
 
 // Stats counts network activity for the cost model and for debugging.
+//
+// A push to a peer the message has already reached is counted as Sent
+// but never scheduled: its arrival could only be dropped. It is counted
+// as Duplicate, or as DroppedOffline if the peer is offline when the push
+// is sent. The one difference from delivering every push is a peer that
+// goes offline while such a push would have been in flight: it is counted
+// as Duplicate where a delivered push would have counted DroppedOffline.
 type Stats struct {
 	Sent           uint64 // messages pushed onto links
 	Delivered      uint64 // first-time deliveries to a node
-	Duplicate      uint64 // suppressed duplicate deliveries
-	DroppedOffline uint64 // deliveries to offline nodes
+	Duplicate      uint64 // pushes to nodes that already held the message
+	DroppedOffline uint64 // pushes to offline nodes
 	DroppedLoss    uint64 // pushes lost to per-hop loss (base + overlay bursts)
 	DroppedFault   uint64 // pushes severed by the fault overlay (partitions/eclipses)
 }
@@ -198,7 +205,7 @@ type Network struct {
 	handler  Handler
 	relay    []bool
 	online   []bool
-	seen     *seenSet
+	seen     *deliveredSet
 	factor   float64
 	stats    Stats
 	observer func(node int)
@@ -259,7 +266,7 @@ func New(cfg Config, engine *sim.Engine, handler Handler) (*Network, error) {
 		ar.seen.adopt(cfg.N)
 		n.seen = &ar.seen
 	} else {
-		n.seen = &seenSet{}
+		n.seen = &deliveredSet{}
 		n.seen.init(cfg.N)
 	}
 	for i := 0; i < cfg.N; i++ {
@@ -405,9 +412,11 @@ func (n *Network) DelayFactor() float64 { return n.factor }
 func (n *Network) Stats() Stats { return n.stats }
 
 // ResetSeen clears all de-duplication state; the round driver calls it
-// between rounds to bound memory. The epoch stamp makes this O(nodes) —
-// entries are retired in place and the tables stay sized, so steady-state
-// rounds insert without growing.
+// between rounds to bound memory. Call it only once the engine has
+// drained: push schedules nothing for nodes a message already reached,
+// which is exact only if no delivery is in flight across a reset. The
+// epoch stamp makes this O(1) — entries are retired in place and the
+// tables stay sized, so steady-state rounds insert without growing.
 func (n *Network) ResetSeen() {
 	n.seen.reset()
 }
@@ -439,6 +448,7 @@ func (n *Network) push(from int, msg *Message) {
 	if n.observer != nil {
 		n.observer(from)
 	}
+	reached := n.seen.reached(&msg.ID)
 	for _, peer := range n.peers[from] {
 		var fault LinkFault
 		if n.overlay != nil {
@@ -461,6 +471,17 @@ func (n *Network) push(from int, msg *Message) {
 			delay = time.Duration(float64(delay) * fault.DelayScale)
 		}
 		n.stats.Sent++
+		if reached.has(peer) {
+			// Seen bits only turn on within a round, so this arrival
+			// could only be dropped: count it now and schedule nothing.
+			// The draws above still happen, keeping the delay stream.
+			if n.online[peer] {
+				n.stats.Duplicate++
+			} else {
+				n.stats.DroppedOffline++
+			}
+			continue
+		}
 		n.engine.ScheduleFn(delay, n.deliverCb, peer, msg)
 	}
 }

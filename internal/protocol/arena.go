@@ -83,11 +83,10 @@ func (a *Arena) takeNodes(n int) []*node {
 		}
 		// Preserve the allocated containers, drop everything else. The
 		// maps still hold the previous run's entries; beginRound clears
-		// them (and resets the pooled tallies) before any read.
+		// them (and resets the tallies) before any read.
 		*nd = node{
 			blocks:     nd.blocks,
 			tallies:    nd.tallies,
-			tallyPool:  nd.tallyPool,
 			finalTally: nd.finalTally,
 		}
 	}

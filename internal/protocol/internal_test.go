@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"testing"
 
 	"github.com/dsn2020-algorand/incentives/internal/ledger"
@@ -145,5 +146,67 @@ func TestSortRoleStakes(t *testing.T) {
 		if rs[i].ID != want {
 			t.Fatalf("sorted order %v", rs)
 		}
+	}
+}
+
+// TestVoterSetMatchesMap checks the tally's voter set against the map it
+// replaced over randomized insert/reset mixes, through table growth.
+func TestVoterSetMatchesMap(t *testing.T) {
+	var s voterSet
+	ref := make(map[int]struct{})
+	state := uint64(0x9e3779b97f4a7c15)
+	for op := 0; op < 50_000; op++ {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		if state%1000 == 0 {
+			s.reset()
+			clear(ref)
+			continue
+		}
+		voter := int(state>>20) % 5000
+		_, dup := ref[voter]
+		ref[voter] = struct{}{}
+		if got := s.insert(voter); got != !dup {
+			t.Fatalf("op %d: insert(%d) = %v, map says duplicate=%v", op, voter, got, dup)
+		}
+	}
+	if s.n != len(ref) {
+		t.Fatalf("live count %d, map holds %d", s.n, len(ref))
+	}
+}
+
+func TestVoterSetEpochWraparound(t *testing.T) {
+	var s voterSet
+	s.insert(3)
+	s.epoch = math.MaxUint32
+	if !s.insert(4) {
+		t.Fatal("insert at max epoch reported duplicate")
+	}
+	s.reset() // wraps: stale slots must not alias the restarted epoch
+	if s.epoch == 0 || !s.insert(4) || !s.insert(3) {
+		t.Fatal("voters from before the wraparound survived the reset")
+	}
+}
+
+// TestNodeTalliesResetAcrossRounds checks that beginRound empties every
+// step tally, voters included, while keeping the tallies themselves.
+func TestNodeTalliesResetAcrossRounds(t *testing.T) {
+	nd := &node{}
+	nd.beginRound(1)
+	vote := &votePayload{Round: 1, Step: 4, Voter: 9, Value: ledger.Hash{2}, Credential: sortition.Result{SubUsers: 3}}
+	nd.observeVote(vote)
+	kept := nd.tally(4)
+	nd.beginRound(2)
+	if nd.tally(4) != kept {
+		t.Fatal("beginRound dropped the step tally instead of resetting it")
+	}
+	if w := nd.tally(4).weightFor(ledger.Hash{2}); w != 0 {
+		t.Fatalf("weight %v survived the round reset", w)
+	}
+	vote.Round = 2
+	nd.observeVote(vote)
+	if w := nd.tally(4).weightFor(ledger.Hash{2}); w != 3 {
+		t.Fatalf("voter from the previous round still deduplicated: weight %v, want 3", w)
 	}
 }

@@ -25,7 +25,7 @@ type tallyEntry struct {
 type stepTally struct {
 	slots  []tallyEntry
 	n      int // live slot count
-	voters map[int]struct{}
+	voters voterSet
 }
 
 // tallyMinSlots is the initial value-array size; it covers every
@@ -33,10 +33,7 @@ type stepTally struct {
 const tallyMinSlots = 8
 
 func newStepTally() *stepTally {
-	return &stepTally{
-		slots:  make([]tallyEntry, tallyMinSlots),
-		voters: make(map[int]struct{}),
-	}
+	return &stepTally{slots: make([]tallyEntry, tallyMinSlots)}
 }
 
 // slotFor returns the entry for value, claiming a free slot when absent.
@@ -81,15 +78,13 @@ func (t *stepTally) grow() {
 
 // add records a vote of the given weight, once per voter.
 func (t *stepTally) add(voter int, value ledger.Hash, weight float64) {
-	if _, dup := t.voters[voter]; dup {
-		return
+	if t.voters.insert(voter) {
+		t.slotFor(value).w += weight
 	}
-	t.voters[voter] = struct{}{}
-	t.slotFor(value).w += weight
 }
 
 // reset empties the tally for reuse in a later round, keeping the sized
-// array and map.
+// value array and voter table.
 func (t *stepTally) reset() {
 	if t.n > 0 {
 		for i := range t.slots {
@@ -97,7 +92,88 @@ func (t *stepTally) reset() {
 		}
 		t.n = 0
 	}
-	clear(t.voters)
+	t.voters.reset()
+}
+
+// voterSet records the voters a stepTally has counted: an open-addressed
+// table of voter IDs with epoch-stamped slots, so reset is a counter bump
+// and the table's size follows the number of voters seen, not N (sparse
+// actors hold tallies too).
+type voterSet struct {
+	slots []voterSlot
+	n     int // live (current-epoch) slots
+	// epoch identifies the current population; 0 is never live.
+	epoch uint32
+}
+
+type voterSlot struct {
+	id    int32
+	epoch uint32
+}
+
+// voterMinSlots is the initial table size; a dense step's committee
+// rarely outgrows it, and recycled tallies keep the grown table.
+const voterMinSlots = 32
+
+// insert adds voter, reporting whether it was absent.
+func (s *voterSet) insert(voter int) bool {
+	if s.epoch == 0 {
+		s.epoch = 1
+	}
+	if s.n*4 >= len(s.slots)*3 {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := voterHash(voter) & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.epoch != s.epoch {
+			*sl = voterSlot{id: int32(voter), epoch: s.epoch}
+			s.n++
+			return true
+		}
+		if sl.id == int32(voter) {
+			return false
+		}
+	}
+}
+
+// voterHash is Fibonacci hashing: the product's upper half spreads
+// clustered IDs across the table.
+func voterHash(voter int) uint64 {
+	return uint64(voter) * 0x9e3779b97f4a7c15 >> 32
+}
+
+// grow doubles the table (allocating it on first use) and re-inserts the
+// live epoch's voters; stale slots are dropped.
+func (s *voterSet) grow() {
+	size := 2 * len(s.slots)
+	if size == 0 {
+		size = voterMinSlots
+	}
+	old := s.slots
+	s.slots = make([]voterSlot, size)
+	mask := uint64(size - 1)
+	for _, sl := range old {
+		if sl.epoch != s.epoch {
+			continue
+		}
+		i := voterHash(int(sl.id)) & mask
+		for s.slots[i].epoch == s.epoch {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = sl
+	}
+}
+
+// reset retires every voter by bumping the epoch.
+func (s *voterSet) reset() {
+	s.epoch++
+	s.n = 0
+	if s.epoch == 0 {
+		// uint32 wrap: stale slots could alias the restarted sequence.
+		clear(s.slots)
+		s.epoch = 1
+	}
 }
 
 // leader returns the value with the largest weight and that weight.
@@ -155,21 +231,22 @@ type node struct {
 	synced   bool
 
 	// Per-round state. beginRound resets values but retains the maps and
-	// recycled tallies, so steady-state rounds run allocation-lean.
+	// tallies, so steady-state rounds run allocation-lean.
 	round        uint64
 	bestPriority sortition.Priority
 	bestProposal *proposalPayload
 	blocks       map[ledger.Hash]ledger.Block
-	tallies      map[uint64]*stepTally
-	tallyPool    []*stepTally // cleared tallies awaiting reuse
-	finalTally   *stepTally
-	value        ledger.Hash // current BinaryBA* value
-	emptyH       ledger.Hash // this round's empty-block hash (see emptyHash)
-	decided      bool
-	decidedHash  ledger.Hash
-	decidedStep  uint64
-	outcome      Outcome
-	outcomeHash  ledger.Hash
+	// tallies holds the committee-step tallies indexed by step (1 to
+	// 2+MaxBinarySteps; index 0 stays nil), allocated on first use.
+	tallies     []*stepTally
+	finalTally  *stepTally
+	value       ledger.Hash // current BinaryBA* value
+	emptyH      ledger.Hash // this round's empty-block hash (see emptyHash)
+	decided     bool
+	decidedHash ledger.Hash
+	decidedStep uint64
+	outcome     Outcome
+	outcomeHash ledger.Hash
 }
 
 func (nd *node) beginRound(round uint64) {
@@ -181,14 +258,10 @@ func (nd *node) beginRound(round uint64) {
 	} else {
 		clear(nd.blocks)
 	}
-	if nd.tallies == nil {
-		nd.tallies = make(map[uint64]*stepTally)
-	} else {
-		for _, t := range nd.tallies {
+	for _, t := range nd.tallies {
+		if t != nil {
 			t.reset()
-			nd.tallyPool = append(nd.tallyPool, t)
 		}
-		clear(nd.tallies)
 	}
 	if nd.finalTally == nil {
 		nd.finalTally = newStepTally()
@@ -212,15 +285,12 @@ func (nd *node) beginRound(round uint64) {
 }
 
 func (nd *node) tally(step uint64) *stepTally {
-	t, ok := nd.tallies[step]
-	if !ok {
-		if n := len(nd.tallyPool); n > 0 {
-			t = nd.tallyPool[n-1]
-			nd.tallyPool[n-1] = nil
-			nd.tallyPool = nd.tallyPool[:n-1]
-		} else {
-			t = newStepTally()
-		}
+	for uint64(len(nd.tallies)) <= step {
+		nd.tallies = append(nd.tallies, nil)
+	}
+	t := nd.tallies[step]
+	if t == nil {
+		t = newStepTally()
 		nd.tallies[step] = t
 	}
 	return t

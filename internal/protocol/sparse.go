@@ -345,7 +345,6 @@ func (s *sparseState) takeNode() *node {
 		*nd = node{
 			blocks:     nd.blocks,
 			tallies:    nd.tallies,
-			tallyPool:  nd.tallyPool,
 			finalTally: nd.finalTally,
 		}
 		return nd
