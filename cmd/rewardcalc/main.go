@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -93,6 +94,9 @@ func loadPopulation(file, dist string, nodes int, seed int64) (*stake.Population
 	if file != "" {
 		return readStakes(file)
 	}
+	if nodes < 1 {
+		return nil, fmt.Errorf("-nodes must be positive, got %d", nodes)
+	}
 	// "zipf[:exponent]" draws from the synthetic weight-oracle profile
 	// (rank-based heavy tail at mean stake 100), so Algorithm 1 can be
 	// priced on the same distribution the simulator's Zipf runs use.
@@ -135,14 +139,18 @@ func readStakes(path string) (*stake.Population, error) {
 	defer f.Close()
 	var stakes []float64
 	sc := bufio.NewScanner(f)
-	for sc.Scan() {
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		v, err := strconv.ParseFloat(line, 64)
 		if err != nil {
-			return nil, fmt.Errorf("parse stake %q: %w", line, err)
+			return nil, fmt.Errorf("%s:%d: parse stake %q: %w", path, lineNo, line, err)
+		}
+		// !(v > 0) also catches NaN; +Inf would poison every total.
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("%s:%d: stake %q must be positive and finite", path, lineNo, line)
 		}
 		stakes = append(stakes, v)
 	}

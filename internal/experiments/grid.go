@@ -7,7 +7,6 @@ import (
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
 	"github.com/dsn2020-algorand/incentives/internal/protocol"
-	"github.com/dsn2020-algorand/incentives/internal/runpool"
 	"github.com/dsn2020-algorand/incentives/internal/sim"
 	"github.com/dsn2020-algorand/incentives/internal/stake"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
@@ -101,17 +100,8 @@ func resolveGrid(cfg *ScenarioGridConfig) ([]adversary.Scenario, error) {
 	return scenarios, nil
 }
 
-// simulateGridCell runs one grid cell. rows supplies the three
-// aggregation rows by slot (the materialized path carves them from a
-// slab); a nil rows allocates them.
-func simulateGridCell(cfg ScenarioGridConfig, scenarios []adversary.Scenario, cell int, arena *protocol.Arena, rows func(slot int) []float64) (GridCell, error) {
-	if rows == nil {
-		backing := make([]float64, 3*cfg.Rounds)
-		rows = func(slot int) []float64 {
-			lo := (slot % 3) * cfg.Rounds
-			return backing[lo : lo+cfg.Rounds : lo+cfg.Rounds]
-		}
-	}
+// simulateGridCell runs one grid cell.
+func simulateGridCell(cfg ScenarioGridConfig, scenarios []adversary.Scenario, cell int, arena *protocol.Arena) (GridCell, error) {
 	si, ki := cell/len(cfg.Seeds), cell%len(cfg.Seeds)
 	seed := cfg.Seeds[ki]
 	out := GridCell{Scenario: cfg.Scenarios[si], Seed: seed}
@@ -148,9 +138,11 @@ func simulateGridCell(cfg ScenarioGridConfig, scenarios []adversary.Scenario, ce
 	if err != nil {
 		return out, err
 	}
-	out.Final = rows(3 * cell)
-	out.Tentative = rows(3*cell + 1)
-	out.None = rows(3*cell + 2)
+	n := cfg.Rounds
+	backing := make([]float64, 3*n)
+	out.Final = backing[:n:n]
+	out.Tentative = backing[n : 2*n : 2*n]
+	out.None = backing[2*n:]
 	for round, report := range runner.RunRounds(cfg.Rounds) {
 		out.Final[round] = report.FinalFrac()
 		out.Tentative[round] = report.TentativeFrac()
@@ -160,36 +152,29 @@ func simulateGridCell(cfg ScenarioGridConfig, scenarios []adversary.Scenario, ce
 	return out, nil
 }
 
-// RunScenarioGrid executes every cell through the deterministic run
-// pool and returns them in grid order — the materialize-everything
-// path, which retains O(cells × rounds) rows. When cfg.Sink is set the
-// completed grid is also replayed into it cell by cell; grids too large
-// to materialize stream through StreamScenarioGrid instead.
+// RunScenarioGrid executes every cell through the same streaming fold
+// as StreamScenarioGrid and collects them in grid order, retaining
+// O(cells × rounds) rows. When cfg.Sink is set each cell is also
+// streamed into it as it completes; grids too large to collect stream
+// through StreamScenarioGrid instead.
 func RunScenarioGrid(cfg ScenarioGridConfig) (*ScenarioGridResult, error) {
 	scenarios, err := resolveGrid(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Sink = instrumentSink(cfg.Sink)
-	cells := len(cfg.Scenarios) * len(cfg.Seeds)
-	slab := runpool.NewFloatSlab(3*cells, cfg.Rounds)
-	results, err := runpool.SweepWithState(cells, cfg.Workers,
-		func(int) *protocol.Arena { return protocol.NewArena() },
-		func(cell int, arena *protocol.Arena) (GridCell, error) {
-			return simulateGridCell(cfg, scenarios, cell, arena, slab.Row)
-		})
+	cells := make([]GridCell, 0, len(cfg.Scenarios)*len(cfg.Seeds))
+	err = sweepGrid(cfg, scenarios, StreamOptions{}, func(cell Cell, c *GridCell) error {
+		cells = append(cells, *c)
+		if cfg.Sink == nil {
+			return nil
+		}
+		return emitGridCell(cfg.Sink, cell, c)
+	})
 	if err != nil {
 		return nil, err
 	}
-	r := &ScenarioGridResult{Config: cfg, Cells: results}
-	if cfg.Sink != nil {
-		for i := range results {
-			if err := emitGridCell(cfg.Sink, Cell{Index: i, Name: results[i].Scenario, Seed: results[i].Seed}, &results[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return r, nil
+	return &ScenarioGridResult{Config: cfg, Cells: cells}, nil
 }
 
 // SafetyViolations sums conflicting-finalisation rounds across the grid.

@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
-	"github.com/dsn2020-algorand/incentives/internal/ledger"
 )
 
 func smallGridConfig() ScenarioGridConfig {
@@ -104,41 +105,39 @@ func TestScenarioGridUnknownScenario(t *testing.T) {
 }
 
 // TestCrashChurnCOWMatchesDeepCloneOracle is the system-level
-// differential oracle for the copy-on-write ledger: a desync-heavy
-// crash-churn sweep (many catch-up clones per round) must be
-// bit-identical whether views are COW overlays or the legacy deep
-// copies. It flips the process-wide clone switch, so it must not run in
-// parallel with other tests.
+// differential check for the copy-on-write ledger: a desync-heavy
+// crash-churn sweep (many catch-up clones per round) must reproduce, byte
+// for byte, the table and audit recorded with every view taken as a full
+// deep copy. The golden was recorded once on the deep-clone path and is
+// deliberately not wired to -update: regenerating it from the COW path
+// would make the check vacuous.
 func TestCrashChurnCOWMatchesDeepCloneOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("protocol simulation")
 	}
-	run := func() string {
-		cfg := DefaultScenarioConfig("crash_churn")
-		cfg.Nodes = 50
-		cfg.Rounds = 8
-		cfg.Runs = 3
-		cfg.Workers = 2
-		res, err := RunScenario(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		table, err := marshalTable(res.Table())
-		if err != nil {
-			t.Fatal(err)
-		}
-		audit, err := marshalTable(res.AuditTable())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(table) + string(audit)
+	cfg := DefaultScenarioConfig("crash_churn")
+	cfg.Nodes = 50
+	cfg.Rounds = 8
+	cfg.Runs = 3
+	cfg.Workers = 2
+	res, err := RunScenario(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cow := run()
-	prev := ledger.SetDeepCloneViews(true)
-	deep := run()
-	ledger.SetDeepCloneViews(prev)
-	if cow != deep {
-		t.Fatal("crash_churn output diverges between COW views and the deep-clone oracle")
+	table, err := marshalTable(res.Table())
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit, err := marshalTable(res.AuditTable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "crash_churn_deepclone.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(table) + string(audit); got != string(want) {
+		t.Fatalf("crash_churn output diverges from the deep-clone golden:\n%s", got)
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"github.com/dsn2020-algorand/incentives/internal/adversary"
+	"github.com/dsn2020-algorand/incentives/internal/protocol"
+	"github.com/dsn2020-algorand/incentives/internal/runpool"
 	"github.com/dsn2020-algorand/incentives/internal/stats"
 )
 
@@ -92,26 +94,72 @@ func csvBytes(t *testing.T, table *stats.Table) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamMatchesMaterialize is the tentpole's differential oracle in
-// unit form: the streaming fold and the legacy materialize-then-replay
-// execution must produce identical event streams at every worker count.
+// materializeGrid is the collect-then-replay reference model for
+// StreamScenarioGrid: every owned cell is computed and retained through
+// SweepWithState, then the whole set is replayed into the sink in
+// ascending order.
+func materializeGrid(cfg ScenarioGridConfig, sink Sink, opt StreamOptions) error {
+	scenarios, err := resolveGrid(&cfg)
+	if err != nil {
+		return err
+	}
+	owned := ownedCells(cfg, opt.Shard)
+	results, err := runpool.SweepWithState(len(owned), cfg.Workers,
+		func(int) *protocol.Arena { return protocol.NewArena() },
+		func(i int, arena *protocol.Arena) (gridCellOut, error) {
+			return runOwnedCell(cfg, scenarios, owned[i], arena, opt)
+		})
+	if err != nil {
+		return err
+	}
+	for i := range results {
+		out := &results[i]
+		cell := Cell{Index: owned[i], Name: out.cell.Scenario, Seed: out.cell.Seed, Restored: out.restored}
+		if err := emitGridCell(sink, cell, &out.cell); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestStreamMatchesMaterialize is the streaming fold's differential
+// check: it and the materializeGrid reference model must produce
+// identical event streams at every worker count, for the whole grid, a
+// shard, and grids partly served from a checkpoint restore set or the
+// completed-cell cache.
 func TestStreamMatchesMaterialize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("protocol simulation")
 	}
 	cfg := smallGridConfig()
-	oracle := newRecordingSink()
-	if err := MaterializeScenarioGrid(cfg, oracle, StreamOptions{}); err != nil {
+	res, err := RunScenarioGrid(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		cfg.Workers = workers
-		got := newRecordingSink()
-		if err := StreamScenarioGrid(cfg, got, StreamOptions{}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got.events, oracle.events) {
-			t.Fatalf("workers=%d: streamed events differ from materialized oracle", workers)
+	cases := []struct {
+		name string
+		opt  StreamOptions
+	}{
+		{"plain", StreamOptions{}},
+		{"shard 1/3", StreamOptions{Shard: ShardSpec{Index: 1, Count: 3}}},
+		{"restored", StreamOptions{Restored: map[int]adversary.Report{1: res.Cells[1].Audit, 2: res.Cells[2].Audit}}},
+		{"cached", StreamOptions{Cached: map[int]*GridCell{0: &res.Cells[0], 3: &res.Cells[3]}}},
+	}
+	for _, tc := range cases {
+		name, opt := tc.name, tc.opt
+		for _, workers := range []int{1, 2, 8} {
+			cfg.Workers = workers
+			want := newRecordingSink()
+			if err := materializeGrid(cfg, want, opt); err != nil {
+				t.Fatalf("%s workers=%d reference: %v", name, workers, err)
+			}
+			got := newRecordingSink()
+			if err := StreamScenarioGrid(cfg, got, opt); err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if len(got.events) == 0 || !reflect.DeepEqual(got.events, want.events) {
+				t.Fatalf("%s workers=%d: streamed events differ from the materialized reference", name, workers)
+			}
 		}
 	}
 }
@@ -148,8 +196,8 @@ func TestStreamShardsPartitionGrid(t *testing.T) {
 	}
 }
 
-// TestRunScenarioGridReplaysSink pins that the materializing entry
-// point replays the identical event stream into cfg.Sink.
+// TestRunScenarioGridReplaysSink pins that the collecting entry point
+// streams the identical event stream into cfg.Sink.
 func TestRunScenarioGridReplaysSink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("protocol simulation")

@@ -10,10 +10,7 @@ import (
 // TestFig3IndexedBitIdentical pins the incremental index against the
 // ledger-direct default at the figure level: fig3 runs commit no reward
 // or transaction mutations, so the index's initial index-order sum is
-// never re-accumulated and both backends must agree bit-for-bit. CI
-// re-runs this under -tags weight_ledgerdirect, where the indexed
-// selection is forced to ledger-direct and equality is the tag's
-// sanity check.
+// never re-accumulated and both backends must agree bit-for-bit.
 func TestFig3IndexedBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("protocol simulation")

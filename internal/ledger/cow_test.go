@@ -120,38 +120,20 @@ func TestCOWCloneOfClone(t *testing.T) {
 	}
 }
 
-// TestCOWDeepCloneSwitch pins the oracle toggle: with the switch on,
-// CloneView must behave exactly like the historical full copy, and the
-// switch must restore cleanly.
-func TestCOWDeepCloneSwitch(t *testing.T) {
-	prev := SetDeepCloneViews(true)
-	defer SetDeepCloneViews(prev)
-	l := chainLedger(t, 100, 2)
-	v := l.CloneView()
-	if err := l.Credit(0, 9); err != nil {
-		t.Fatal(err)
-	}
-	if v.Stake(0) != 50 {
-		t.Fatal("deep clone shares account state")
-	}
-	if v.Round() != l.Round() || v.Len() != 2 {
-		t.Fatalf("deep clone chain mismatch: round %d len %d", v.Round(), v.Len())
-	}
-	if err := v.VerifyChain(); err != nil {
-		t.Fatal(err)
-	}
-}
+// cloneFn is a view-cloning implementation under test: the production
+// (*Ledger).CloneView or the deepClone reference model.
+type cloneFn func(*Ledger) *Ledger
 
 // measureCloneBytes reports the average heap bytes allocated by one
-// CloneView plus a single-account write — the per-resync cost a
+// clone plus a single-account write — the per-resync cost a
 // desynchronised node pays in the simulator.
-func measureCloneBytes(l *Ledger, iters int) float64 {
+func measureCloneBytes(l *Ledger, clone cloneFn, iters int) float64 {
 	runtime.GC()
 	var before, after runtime.MemStats
 	clones := make([]*Ledger, iters) // keep clones live so GC cannot recycle mid-measure
 	runtime.ReadMemStats(&before)
 	for i := 0; i < iters; i++ {
-		v := l.CloneView()
+		v := clone(l)
 		_ = v.Credit(i%l.NumAccounts(), 1)
 		clones[i] = v
 	}
@@ -168,15 +150,9 @@ func measureCloneBytes(l *Ledger, iters int) float64 {
 func TestCOWResyncAllocBudget(t *testing.T) {
 	l := chainLedger(t, 4096, 4)
 
-	// Pin each measurement's clone mode explicitly so the test means the
-	// same thing under the ledger_deepclone oracle build tag.
 	const iters = 200
-	prev := SetDeepCloneViews(false)
-	defer SetDeepCloneViews(prev)
-	cowBytes := measureCloneBytes(l, iters)
-	SetDeepCloneViews(true)
-	deepBytes := measureCloneBytes(l, iters)
-	SetDeepCloneViews(false)
+	cowBytes := measureCloneBytes(l, (*Ledger).CloneView, iters)
+	deepBytes := measureCloneBytes(l, (*Ledger).deepClone, iters)
 
 	// 4096 accounts ≈ 64 page pointers (512 B) + ledger header + one
 	// 64-account page copy; 32 KiB leaves ample noise headroom while a
@@ -186,7 +162,7 @@ func TestCOWResyncAllocBudget(t *testing.T) {
 		t.Errorf("COW resync allocates %.0f B/clone, budget %d — clone cost is scaling with accounts again", cowBytes, budget)
 	}
 	if cowBytes*4 > deepBytes {
-		t.Errorf("COW resync (%.0f B) is not meaningfully cheaper than the deep-clone oracle (%.0f B)", cowBytes, deepBytes)
+		t.Errorf("COW resync (%.0f B) is not meaningfully cheaper than the deepClone reference (%.0f B)", cowBytes, deepBytes)
 	}
 
 	// Allocation count must not scale with accounts either: clone + one
@@ -256,8 +232,9 @@ func digest(t *testing.T, canonical *Ledger, views []*Ledger) string {
 	return out
 }
 
-// runSchedule replays one schedule and returns the digest trace.
-func runSchedule(t *testing.T, sched []cowOp, views int) []string {
+// runSchedule replays one schedule, taking every view with clone, and
+// returns the digest trace.
+func runSchedule(t *testing.T, sched []cowOp, views int, clone cloneFn) []string {
 	t.Helper()
 	stakes := make([]float64, 256)
 	for i := range stakes {
@@ -266,7 +243,7 @@ func runSchedule(t *testing.T, sched []cowOp, views int) []string {
 	canonical := Genesis(stakes, rand.New(rand.NewSource(99)))
 	replicas := make([]*Ledger, views)
 	for i := range replicas {
-		replicas[i] = canonical.CloneView()
+		replicas[i] = clone(canonical)
 	}
 	var trace []string
 	nonce := uint64(0)
@@ -292,7 +269,7 @@ func runSchedule(t *testing.T, sched []cowOp, views int) []string {
 				t.Fatal(err)
 			}
 		case 3:
-			replicas[op.view] = canonical.CloneView()
+			replicas[op.view] = clone(canonical)
 		case 4:
 			// A healthy node commits the canonical block for its round, if
 			// it is not already ahead or desynced past it.
@@ -309,19 +286,17 @@ func runSchedule(t *testing.T, sched []cowOp, views int) []string {
 }
 
 // TestCloneDifferentialOracle replays randomized desync/churn/reward
-// schedules under the COW implementation and under the deep-clone oracle
-// and requires every intermediate observable (accounts, tip, Round,
-// fees) to be identical.
+// schedules under the COW implementation and under the deepClone
+// reference model and requires every intermediate observable (accounts,
+// tip, Round, fees) to be identical.
 func TestCloneDifferentialOracle(t *testing.T) {
 	const views = 6
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			sched := genSchedule(rand.New(rand.NewSource(seed)), views, 400)
-			cow := runSchedule(t, sched, views)
-			prev := SetDeepCloneViews(true)
-			deep := runSchedule(t, sched, views)
-			SetDeepCloneViews(prev)
+			cow := runSchedule(t, sched, views, (*Ledger).CloneView)
+			deep := runSchedule(t, sched, views, (*Ledger).deepClone)
 			if len(cow) != len(deep) {
 				t.Fatalf("trace lengths differ: %d vs %d", len(cow), len(deep))
 			}

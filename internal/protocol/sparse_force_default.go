@@ -6,5 +6,5 @@ package protocol
 // dense per-node sortition sweep when true. The protocol_pernode_draw
 // build tag flips the default, turning the whole test suite into a
 // differential-oracle run against the legacy path, mirroring
-// sim_legacy_heap, ledger_deepclone and weight_ledgerdirect.
+// sim_legacy_heap.
 const forcePerNodeDraw = false

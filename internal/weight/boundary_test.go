@@ -1,6 +1,8 @@
 package weight_test
 
 import (
+	"fmt"
+	"go/build/constraint"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -53,6 +55,72 @@ func TestNoDirectStakeReadsOutsideBackends(t *testing.T) {
 	}
 	if len(offenders) > 0 {
 		t.Fatalf("direct ledger stake reads outside the weight seam:\n  %s",
+			strings.Join(offenders, "\n  "))
+	}
+}
+
+// TestOnlyKnownBuildTags enforces the build-tag budget: a //go:build
+// constraint in a non-test source file may name only the tags whose
+// fast paths still keep a production oracle switch. Every other
+// differential oracle lives in a _test.go reference model instead.
+func TestOnlyKnownBuildTags(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{"sim_legacy_heap": true, "protocol_pernode_draw": true, "obs_off": true}
+	var offenders []string
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			if rel == "." {
+				return nil
+			}
+			// Hidden directories hold VCS and build state; a nested
+			// go.mod starts another module.
+			if strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.HasPrefix(line, "package ") {
+				break
+			}
+			if !constraint.IsGoBuild(line) {
+				continue
+			}
+			expr, err := constraint.Parse(line)
+			if err != nil {
+				return fmt.Errorf("%s:%d: %w", rel, i+1, err)
+			}
+			expr.Eval(func(tag string) bool {
+				if !allowed[tag] {
+					offenders = append(offenders, rel+":"+strconv.Itoa(i+1)+": "+tag)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(offenders) > 0 {
+		t.Fatalf("build tags outside {sim_legacy_heap, protocol_pernode_draw, obs_off}; move the oracle into a _test.go reference model:\n  %s",
 			strings.Join(offenders, "\n  "))
 	}
 }
